@@ -127,5 +127,5 @@ int main(int argc, char** argv) {
       }
     }
   }
-  return 0;
+  return bench::ShapeFailures() == 0 ? 0 : 1;
 }

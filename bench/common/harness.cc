@@ -101,6 +101,15 @@ eval::MetricReport FitAndEvaluate(eval::Recommender& model,
   return eval::EvaluateRanking(model, dataset, split, config);
 }
 
-std::string ShapeLabel(bool pass) { return pass ? "PASS" : "FAIL"; }
+namespace {
+int g_shape_failures = 0;
+}  // namespace
+
+std::string ShapeLabel(bool pass) {
+  if (!pass) ++g_shape_failures;
+  return pass ? "PASS" : "FAIL";
+}
+
+int ShapeFailures() { return g_shape_failures; }
 
 }  // namespace isrec::bench

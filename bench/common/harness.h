@@ -49,8 +49,12 @@ eval::MetricReport FitAndEvaluate(eval::Recommender& model,
                                   const data::Dataset& dataset,
                                   const data::LeaveOneOutSplit& split);
 
-/// Formats "measured (paper X)" cells and PASS/FAIL shape labels.
+/// Returns the PASS/FAIL label of a shape check and counts each FAIL.
 std::string ShapeLabel(bool pass);
+
+/// Number of FAIL labels ShapeLabel has returned so far; a bench's exit
+/// code, so a failed shape check fails the run.
+int ShapeFailures();
 
 }  // namespace isrec::bench
 

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Runs every benchmark binary, capturing combined output. Cheap benches
-# first so partial runs still cover most artifacts.
+# first so partial runs still cover most artifacts. Serving latency and
+# capacity are measured by perfbench (`python3 perfbench/run.py`), not here.
 set -u
 out=/root/repo/bench_output.txt
 : > "$out"
@@ -18,17 +19,9 @@ for b in build/bench/bench_table3_datasets build/bench/bench_table4_concepts \
          build/bench/bench_fig3_dprime build/bench/bench_fig4_lambda \
          build/bench/bench_design_ablations build/bench/bench_complexity \
          build/bench/bench_table6_seqlen build/bench/bench_table5_ablation \
-         build/bench/bench_table2 build/bench/bench_serving; do
+         build/bench/bench_table2; do
   echo "##### $b #####" >> "$out"
   "$b" >> "$out" 2>/dev/null
   echo "" >> "$out"
 done
-# Sharded tier: router + 4 replicas vs a single replica over the same
-# HTTP workload, plus a drain-under-load pass; regenerates
-# BENCH_router.json and exits nonzero on any dropped request or an
-# uncertified drain.
-echo "##### build/bench/bench_serving --router #####" >> "$out"
-build/bench/bench_serving --router --out /root/repo/BENCH_router.json \
-  >> "$out" 2>/dev/null
-echo "" >> "$out"
 echo "ALL BENCHES DONE" >> "$out"

@@ -9,6 +9,7 @@
 #include "obs/heap_profiler.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "utils/json.h"
 #include "utils/logging.h"
 
 namespace isrec::obs {
@@ -38,6 +39,15 @@ std::string FormatNumber(double v) {
   return buffer;
 }
 
+const char kStyle[] =
+    "<style>body{font-family:monospace;margin:1.5em}"
+    "table{border-collapse:collapse;margin:.5em 0}"
+    "td,th{border:1px solid #999;padding:2px 8px;text-align:right}"
+    "th{background:#eee}td:first-child,th:first-child{text-align:left}"
+    "h2{margin-top:1.2em}</style>";
+
+}  // namespace
+
 std::string HtmlEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -52,25 +62,6 @@ std::string HtmlEscape(const std::string& s) {
   }
   return out;
 }
-
-std::string JsonEscape(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
-const char kStyle[] =
-    "<style>body{font-family:monospace;margin:1.5em}"
-    "table{border-collapse:collapse;margin:.5em 0}"
-    "td,th{border:1px solid #999;padding:2px 8px;text-align:right}"
-    "th{background:#eee}td:first-child,th:first-child{text-align:left}"
-    "h2{margin-top:1.2em}</style>";
-
-}  // namespace
 
 std::string PrometheusText(const MetricsSnapshot& snapshot) {
   std::string out;
@@ -265,12 +256,12 @@ HttpResponse AdminServer::HandleVarz() const {
     sections = varz_sections_;
     build_info = build_info_;
   }
-  std::string body = "{\n\"build_info\": " + JsonEscape(build_info) + ",\n";
+  std::string body = "{\n\"build_info\": " + json::Escape(build_info) + ",\n";
   body += "\"uptime_s\": " +
           FormatNumber(static_cast<double>(NowMs() - started_ms_) / 1000.0) +
           ",\n";
   for (const auto& [key, provider] : sections) {
-    body += JsonEscape(key) + ": " + provider() + ",\n";
+    body += json::Escape(key) + ": " + provider() + ",\n";
   }
   // The trace clock reading lets a poller (the router's prober) estimate
   // this process's clock offset from the request round-trip (midpoint
@@ -376,7 +367,7 @@ HttpResponse AdminServer::HandleTracez(const HttpRequest& request) const {
       for (size_t s = 0; s < tl.spans.size(); ++s) {
         const RequestSpan& span = tl.spans[s];
         body += s == 0 ? "" : ", ";
-        body += "{\"name\": " + JsonEscape(span.name) +
+        body += "{\"name\": " + json::Escape(span.name) +
                 ", \"start_ns\": " + std::to_string(span.start_ns) +
                 ", \"dur_ns\": " + std::to_string(span.dur_ns) +
                 ", \"tid\": " + std::to_string(span.tid) + "}";
@@ -480,7 +471,7 @@ HttpResponse AdminServer::HandleLoglevel(const HttpRequest& request) const {
       response.status = 400;
       response.content_type = "application/json";
       response.body =
-          "{\"error\": \"unknown log level\", \"got\": " + JsonEscape(text) +
+          "{\"error\": \"unknown log level\", \"got\": " + json::Escape(text) +
           "}\n";
       return response;
     }

@@ -128,6 +128,9 @@ class AdminServer {
   bool started_ = false;
 };
 
+/// Escapes `&`, `<`, `>` and `"` for HTML text and attribute values.
+std::string HtmlEscape(const std::string& s);
+
 /// Renders `snapshot` in the Prometheus text exposition format: metric
 /// names sanitized ('.' → '_'), `# TYPE` lines, histograms as
 /// cumulative `_bucket{le="..."}` series plus `_sum` and `_count`.

@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "utils/json.h"
 
 #if defined(ISREC_HEAP_PROFILE_HOOK) && __has_include(<malloc.h>)
 #include <malloc.h>
@@ -83,16 +84,6 @@ std::size_t UsableSize(void* p) {
   (void)p;
   return 0;
 #endif
-}
-
-std::string JsonEscape(const char* s) {
-  std::string out = "\"";
-  for (const char* p = s; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out.push_back('\\');
-    out.push_back(*p);
-  }
-  out.push_back('"');
-  return out;
 }
 
 }  // namespace
@@ -227,7 +218,7 @@ std::string HeapzJson() {
   const std::vector<AllocSite> sites = TopAllocationSites();
   for (size_t s = 0; s < sites.size(); ++s) {
     out += s == 0 ? "\n" : ",\n";
-    out += "{\"span\": " + JsonEscape(sites[s].span);
+    out += "{\"span\": " + json::Escape(sites[s].span);
     out += ", \"count\": " + std::to_string(sites[s].count);
     out += ", \"bytes\": " + std::to_string(sites[s].bytes) + "}";
   }

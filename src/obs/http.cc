@@ -44,6 +44,13 @@ void SetSocketTimeoutsMs(int fd, int timeout_ms) {
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
+/// Turns off Nagle's algorithm: requests and responses are written
+/// whole, so holding a segment back only adds the peer's ACK delay.
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 /// Writes all of `data`, swallowing SIGPIPE (the peer may hang up).
 bool SendAll(int fd, const char* data, size_t size) {
   size_t sent = 0;
@@ -233,6 +240,7 @@ int ConnectWithTimeout(const std::string& host, int port,
     *error = std::string("socket: ") + std::strerror(errno);
     return -1;
   }
+  SetNoDelay(fd);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
@@ -365,6 +373,7 @@ void HttpServer::AcceptLoop() {
       return;  // Listener shut down (EINVAL) or broken: stop accepting.
     }
     SetSocketTimeoutsMs(fd, kSocketTimeoutS * 1000);
+    SetNoDelay(fd);
     bool queued = false;
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -503,6 +512,8 @@ void HttpServer::ServeConnection(int fd) {
       }
     }
 
+    // Header and body leave in one write: a second small write on a
+    // kept-alive connection would wait for the peer's delayed ACK.
     char header[256];
     std::snprintf(header, sizeof(header),
                   "HTTP/1.1 %d %s\r\n"
@@ -513,11 +524,9 @@ void HttpServer::ServeConnection(int fd) {
                   response.status, StatusText(response.status),
                   response.content_type.c_str(), response.body.size(),
                   keep_alive ? "keep-alive" : "close");
-    if (!SendAll(fd, header, std::strlen(header))) return;
-    if (request.method != "HEAD" &&
-        !SendAll(fd, response.body.data(), response.body.size())) {
-      return;
-    }
+    std::string wire = header;
+    if (request.method != "HEAD") wire += response.body;
+    if (!SendAll(fd, wire.data(), wire.size())) return;
     if (!keep_alive) return;
     raw.erase(0, consumed);
     first_request = false;

@@ -7,6 +7,8 @@
 #include <memory>
 #include <mutex>
 
+#include "utils/json.h"
+
 namespace isrec::obs {
 namespace internal {
 
@@ -79,15 +81,6 @@ std::string FormatDouble(double v) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.6g", v);
   return buffer;
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -305,20 +298,20 @@ std::string DumpMetricsJson() {
   std::string out = "{\n  \"counters\": {";
   for (size_t i = 0; i < snapshot.counters.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";
-    AppendJsonString(&out, snapshot.counters[i].first);
+    out += json::Escape(snapshot.counters[i].first);
     out += ": " + std::to_string(snapshot.counters[i].second);
   }
   out += "\n  },\n  \"gauges\": {";
   for (size_t i = 0; i < snapshot.gauges.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";
-    AppendJsonString(&out, snapshot.gauges[i].first);
+    out += json::Escape(snapshot.gauges[i].first);
     out += ": " + FormatDouble(snapshot.gauges[i].second);
   }
   out += "\n  },\n  \"histograms\": {";
   for (size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const HistogramSnapshot& h = snapshot.histograms[i];
     out += i == 0 ? "\n    " : ",\n    ";
-    AppendJsonString(&out, h.name);
+    out += json::Escape(h.name);
     out += ": {\"count\": " + std::to_string(h.total_count);
     out += ", \"sum\": " + FormatDouble(h.sum);
     out += ", \"mean\": " + FormatDouble(h.Mean());

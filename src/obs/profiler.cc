@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "utils/json.h"
 
 namespace isrec::obs {
 namespace {
@@ -208,16 +209,6 @@ ProfileSnapshot RenderSnapshot(uint64_t samples, uint64_t idle, int hz,
   return snapshot;
 }
 
-std::string JsonEscape(const char* s) {
-  std::string out = "\"";
-  for (const char* p = s; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out.push_back('\\');
-    out.push_back(*p);
-  }
-  out.push_back('"');
-  return out;
-}
-
 // ISREC_PROFILE=path.folded: sampler on from process start, collapsed
 // stacks written at exit (mirror of ISREC_TRACE in obs/trace.cc).
 struct ProfileEnvInit {
@@ -388,7 +379,7 @@ std::string ProfileSummaryJson(const ProfileSnapshot& snapshot) {
     out += "{\"stack\": [";
     for (size_t i = 0; i < stack.frames.size(); ++i) {
       if (i > 0) out += ", ";
-      out += JsonEscape(stack.frames[i]);
+      out += json::Escape(stack.frames[i]);
     }
     out += "], \"count\": " + std::to_string(stack.count) + "}";
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/admin_server.h"
+
 namespace isrec::router {
 namespace {
 
@@ -27,21 +29,6 @@ std::string SanitizeMetricName(const std::string& name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     if (!ok) c = '_';
-  }
-  return out;
-}
-
-std::string HtmlEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
   }
   return out;
 }
@@ -375,7 +362,7 @@ std::string FleetAggregator::StatuszHtml(double window_s) const {
                   "<tr><td>%s</td><td>%llu</td><td>%.1f</td><td>%.2f</td>"
                   "<td>%.2f</td><td>%.2f</td><td>%llu</td><td>%llu</td>"
                   "<td>%llu</td><td>%llu</td><td>%llu</td></tr>",
-                  HtmlEscape(replica).c_str(),
+                  obs::HtmlEscape(replica).c_str(),
                   static_cast<unsigned long long>(agg.polls), rate, p50, p95,
                   p99, static_cast<unsigned long long>(requests),
                   static_cast<unsigned long long>(ok),

@@ -27,21 +27,6 @@ obs::HttpResponse JsonError(int status, const std::string& message) {
   return response;
 }
 
-std::string HtmlEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
 /// Earliest start among a trace's replica-side (non-"router") spans, or
 /// 0 when it has none. The gap between the router's forward span start
 /// and this is the request's network + server-accept latency.
@@ -497,11 +482,11 @@ obs::HttpResponse Router::HandleTracez(const obs::HttpRequest& http) {
                           1000.0);
         body += std::string("<tr class=\"gap\"><td>network</td>"
                             "<td>→ forward to ") +
-                HtmlEscape(span.process) + "</td><td></td><td>" + cell +
+                obs::HtmlEscape(span.process) + "</td><td></td><td>" + cell +
                 "</td><td></td><td>wire + accept gap</td></tr>";
       }
-      body += "<tr><td>" + HtmlEscape(span.process) + "</td>";
-      body += "<td>" + HtmlEscape(span.name) + "</td>";
+      body += "<tr><td>" + obs::HtmlEscape(span.process) + "</td>";
+      body += "<td>" + obs::HtmlEscape(span.name) + "</td>";
       std::snprintf(cell, sizeof(cell), "%.1f",
                     (static_cast<double>(span.start_ns) -
                      static_cast<double>(origin_ns)) /
@@ -519,7 +504,7 @@ obs::HttpResponse Router::HandleTracez(const obs::HttpRequest& http) {
       } else {
         body += "<td class=\"unsynced\">unsynced</td>";
       }
-      body += "<td>" + HtmlEscape(span.detail) + "</td></tr>";
+      body += "<td>" + obs::HtmlEscape(span.detail) + "</td></tr>";
     }
     body += "</table>";
   }

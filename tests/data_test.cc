@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <set>
 #include <string>
 #include <unordered_set>
@@ -16,6 +17,15 @@
 #include "utils/status.h"
 
 namespace isrec::data {
+
+// Prints a preset by name; gtest's default byte dump holds heap
+// addresses, which would put a per-build value into the ctest name.
+// Lives outside the unnamed namespace so argument-dependent lookup
+// from gtest finds it.
+static void PrintTo(const SyntheticConfig& config, std::ostream* os) {
+  *os << config.name;
+}
+
 namespace {
 
 TEST(ConceptGraphTest, EdgesAreDeduplicatedAndUndirected) {

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <ostream>
 
 #include "gtest/gtest.h"
 #include "tensor/ops.h"
@@ -231,6 +232,10 @@ struct GradCase {
   std::function<Tensor(const std::vector<Tensor>&)> fn;
   std::vector<Shape> input_shapes;
 };
+
+// gtest would otherwise print the case as raw bytes, a heap address
+// among them, and that dump becomes part of the ctest name.
+void PrintTo(const GradCase& c, std::ostream* os) { *os << c.name; }
 
 class GradCheckTest : public ::testing::TestWithParam<GradCase> {};
 

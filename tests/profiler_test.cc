@@ -575,5 +575,30 @@ TEST(ProfilingEndpointsTest, LoglevelGetPutRoundTripAndRejection) {
   SetLogLevel(saved);
 }
 
+// The 400 echoes the caller's unparsed body, so the echo must be a
+// JSON string literal even when the body holds control bytes.
+TEST(ProfilingEndpointsTest, LoglevelRejectionEscapesControlBytes) {
+  ProfGuard guard;
+  const LogLevel saved = GetLogLevel();
+  obs::AdminServer admin;
+  ASSERT_TRUE(admin.Start());
+
+  obs::HttpClient client;
+  const obs::HttpClient::Result bad =
+      client.Post("127.0.0.1", admin.port(), "/admin/loglevel", "text/plain",
+                  std::string("lo\x01ud"));
+  ASSERT_TRUE(bad.ok) << bad.error;
+  EXPECT_EQ(bad.status, 400);
+  EXPECT_NE(bad.body.find("\"lo\\u0001ud\""), std::string::npos) << bad.body;
+  std::string object = bad.body;
+  while (!object.empty() && object.back() == '\n') object.pop_back();
+  for (char c : object) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << bad.body;
+  }
+  EXPECT_EQ(GetLogLevel(), saved);
+
+  admin.Stop();
+}
+
 }  // namespace
 }  // namespace isrec

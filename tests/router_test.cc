@@ -769,23 +769,32 @@ TEST(RouterIntegrationTest, DrainUnderLoadDropsNothing) {
   tier.replicas[0].engine->ResetStats();
   tier.replicas[1].engine->ResetStats();
 
+  // Each client sends at least kPerThread requests and keeps sending
+  // until the drain call has returned, so the load spans the drain.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20;
-  std::atomic<int> ok{0}, not_ok{0};
+  enum DrainPhase { kBefore, kInFlight, kReturned };
+  std::atomic<int> phase{kBefore};
+  std::atomic<int> ok{0}, not_ok{0}, spanned_drain{0};
   std::atomic<bool> start{false};
   std::vector<std::thread> clients;
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
       obs::HttpClient client;
       while (!start.load()) std::this_thread::yield();
-      for (int i = 0; i < kPerThread; ++i) {
+      for (int i = 0; i < kPerThread || phase.load() != kReturned; ++i) {
         serve::Request request;
-        request.user = t * 100 + i;
+        request.user = t * 100 + i % 100;
         request.history = {1, 2};
         request.k = 3;
+        const int sent_in = phase.load();
         int http_status = 0;
         const serve::RecommendResponse response =
             PostViaHttp(client, tier.router->port(), request, &http_status);
+        // Sent before the drain call returned, answered after it began.
+        if (sent_in != kReturned && phase.load() != kBefore) {
+          spanned_drain.fetch_add(1);
+        }
         if (http_status == 200 && response.status.code() == StatusCode::kOk) {
           ok.fetch_add(1);
         } else {
@@ -795,24 +804,32 @@ TEST(RouterIntegrationTest, DrainUnderLoadDropsNothing) {
     });
   }
   start.store(true);
-  // Mid-load, drain r1 through the router's own admin plane and wait
-  // for quiescence — the zero-drop drain sequence of DESIGN.md §11.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Once the load is flowing, drain r1 through the router's own admin
+  // plane and wait for quiescence — the zero-drop drain sequence of
+  // DESIGN.md §11.
+  for (int i = 0; i < 1000 && ok.load() + not_ok.load() < kThreads; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   obs::HttpClient admin_client;
+  phase.store(kInFlight);
   const obs::HttpClient::Result drain = admin_client.Get(
       "127.0.0.1", tier.router->port(),
       "/admin/drain?replica=r1&wait_ms=10000");
+  phase.store(kReturned);
   ASSERT_TRUE(drain.ok) << drain.error;
   EXPECT_EQ(drain.status, 200);
   EXPECT_NE(drain.body.find("\"drained\": true"), std::string::npos)
       << drain.body;
   for (std::thread& client : clients) client.join();
+  EXPECT_GT(spanned_drain.load(), 0) << "no request was in flight mid-drain";
 
   // Zero drops: every request answered OK, none rejected/expired/errored.
-  EXPECT_EQ(ok.load(), kThreads * kPerThread);
+  const int sent = ok.load() + not_ok.load();
+  EXPECT_GE(sent, kThreads * kPerThread);
+  EXPECT_EQ(ok.load(), sent);
   EXPECT_EQ(not_ok.load(), 0);
   const router::RouterDecisions d = tier.router->decisions();
-  EXPECT_EQ(d.requests, static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(d.requests, static_cast<uint64_t>(sent));
   EXPECT_EQ(d.rejected, 0u);
   EXPECT_EQ(d.expired, 0u);
   EXPECT_EQ(d.transport_errors, 0u);
@@ -828,8 +845,7 @@ TEST(RouterIntegrationTest, DrainUnderLoadDropsNothing) {
   // verified against the replicas' own serve stats.
   const serve::ServeStats stats1 = tier.replicas[0].engine->Stats();
   const serve::ServeStats stats2 = tier.replicas[1].engine->Stats();
-  EXPECT_EQ(stats1.ok + stats2.ok,
-            static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(stats1.ok + stats2.ok, static_cast<uint64_t>(sent));
   EXPECT_EQ(d.forwarded, d.requests);
 
   // Post-drain traffic to an r1-owned user re-homes (drain_rerouted).
@@ -1213,11 +1229,16 @@ TEST(RouterIntegrationTest, StitchedTraceAndFleetMetricsAcrossTwoReplicas) {
   ASSERT_TRUE(html.ok);
   EXPECT_NE(html.body.find("wire + accept gap"), std::string::npos);
 
-  // Fleet metrics: wait for a probe sweep to pull both replicas' varz
-  // snapshots, then check the Prometheus page's sum identity.
-  for (int i = 0; i < 300 && tier.router->fleet().replica_count() < 2; ++i) {
+  // Fleet metrics: wait until the prober has pulled each replica's varz
+  // snapshot twice since the traffic (four fleet updates), so the page
+  // reflects the requests above, then check its sum identity.
+  const uint64_t updates_after_traffic = tier.router->fleet().updates();
+  for (int i = 0; i < 300 && tier.router->fleet().updates() <
+                                 updates_after_traffic + 4;
+       ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
+  ASSERT_GE(tier.router->fleet().updates(), updates_after_traffic + 4);
   ASSERT_EQ(tier.router->fleet().replica_count(), 2u);
   const obs::HttpClient::Result fleet = client.Get(
       "127.0.0.1", tier.router->port(), "/fleet/metrics");

@@ -360,49 +360,69 @@ class EngineTest : public ::testing::Test {
 // The v2 happy-path pin: with no deadline, no faults, and admission
 // control off, every outcome is kOk and the top-K lists (items AND
 // scores) are bitwise identical to sequential per-request Score — the
-// robustness machinery must be invisible when unused.
+// robustness machinery must be invisible when unused. Runs over the
+// engine grid {threads, max_batch, window_us} from no batching to
+// 256-request batches, with enough requests for the largest to form.
 TEST_F(EngineTest, ConcurrentBatchedResultsMatchSequential) {
-  EngineConfig config;
-  config.num_threads = 2;
-  config.max_batch_size = 16;
-  config.batch_window_us = 500;
-  ServingEngine engine(ServableModel::Wrap(*model_, dataset_.num_items),
-                       config);
-
-  const std::vector<Request> requests = MakeRequests(48);
-  std::vector<std::future<Outcome<Recommendation>>> futures;
-  for (const Request& request : requests) {
-    futures.push_back(engine.RecommendAsync(request));
-  }
-
+  struct GridPoint {
+    Index threads, max_batch, window_us;
+  };
+  const GridPoint grid[] = {{1, 1, 0}, {4, 32, 500}, {8, 128, 2000},
+                            {8, 256, 2000}};
+  constexpr Index kRequests = 300;
+  const std::vector<Request> requests = MakeRequests(kRequests);
   std::vector<Index> catalog(dataset_.num_items);
   for (Index i = 0; i < dataset_.num_items; ++i) catalog[i] = i;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const Outcome<Recommendation> outcome = futures[i].get();
-    ASSERT_TRUE(outcome.ok()) << "request " << i << ": "
-                              << outcome.status().ToString();
-    const Recommendation& got = outcome.value();
-    const Recommendation want =
-        TopK(model_->Score(requests[i].user, requests[i].history, catalog),
-             catalog, requests[i].k);
-    ASSERT_EQ(got.items, want.items) << "request " << i;
-    ASSERT_EQ(got.scores, want.scores) << "request " << i;
-    EXPECT_FALSE(got.from_cache);
-    // No Publish happened, so everything was scored by version 1 — the
-    // no-swap happy path is the v1 engine bit for bit.
-    EXPECT_EQ(got.model_version, 1u);
+  std::vector<Recommendation> want;
+  for (const Request& request : requests) {
+    want.push_back(TopK(model_->Score(request.user, request.history, catalog),
+                        catalog, request.k));
   }
 
-  const ServeStats stats = engine.Stats();
-  EXPECT_EQ(stats.num_requests, 48u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_GE(stats.num_batches, 1u);
-  EXPECT_GT(stats.mean_batch_size, 1.0);  // Micro-batching engaged.
-  uint64_t histogram_total = 0;
-  for (size_t b = 1; b < stats.batch_size_histogram.size(); ++b) {
-    histogram_total += b * stats.batch_size_histogram[b];
+  for (const GridPoint& point : grid) {
+    SCOPED_TRACE("threads=" + std::to_string(point.threads) +
+                 " max_batch=" + std::to_string(point.max_batch) +
+                 " window_us=" + std::to_string(point.window_us));
+    EngineConfig config;
+    config.num_threads = point.threads;
+    config.max_batch_size = point.max_batch;
+    config.batch_window_us = point.window_us;
+    ServingEngine engine(ServableModel::Wrap(*model_, dataset_.num_items),
+                         config);
+
+    std::vector<std::future<Outcome<Recommendation>>> futures;
+    for (const Request& request : requests) {
+      futures.push_back(engine.RecommendAsync(request));
+    }
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const Outcome<Recommendation> outcome = futures[i].get();
+      ASSERT_TRUE(outcome.ok()) << "request " << i << ": "
+                                << outcome.status().ToString();
+      const Recommendation& got = outcome.value();
+      ASSERT_EQ(got.items, want[i].items) << "request " << i;
+      ASSERT_EQ(got.scores, want[i].scores) << "request " << i;
+      EXPECT_FALSE(got.from_cache);
+      // No Publish happened, so everything was scored by version 1 — the
+      // no-swap happy path is the v1 engine bit for bit.
+      EXPECT_EQ(got.model_version, 1u);
+    }
+
+    const ServeStats stats = engine.Stats();
+    EXPECT_EQ(stats.num_requests, static_cast<uint64_t>(kRequests));
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_GE(stats.num_batches, 1u);
+    if (point.max_batch > 1) {
+      EXPECT_GT(stats.mean_batch_size, 1.0);  // Micro-batching engaged.
+    } else {
+      EXPECT_EQ(stats.mean_batch_size, 1.0);
+    }
+    uint64_t histogram_total = 0;
+    for (size_t b = 1; b < stats.batch_size_histogram.size(); ++b) {
+      EXPECT_LE(b, static_cast<size_t>(point.max_batch)) << "batch over cap";
+      histogram_total += b * stats.batch_size_histogram[b];
+    }
+    EXPECT_EQ(histogram_total, static_cast<uint64_t>(kRequests));
   }
-  EXPECT_EQ(histogram_total, 48u);
 }
 
 TEST_F(EngineTest, RepeatRequestsHitTheCache) {
@@ -1066,15 +1086,46 @@ TEST(EngineSwapTest, HotSwapUnderConcurrentLoadNeverMixesVersions) {
     });
   }
 
+  // Besides the clients, each swap has a burst submitted against the
+  // outgoing version still in flight when Publish runs, and is followed
+  // by requests until one is answered by the new version: every one of
+  // those must be kOk too.
+  constexpr int kInflightPerSwap = 32;
+  uint64_t swap_not_ok = 0;
+  Index next_history = 0;
+  auto submit = [&] {
+    Request request;
+    request.user = kClients + static_cast<Index>(next_history % 7);
+    request.history = {next_history++ % 100};
+    request.k = 5;
+    return engine.RecommendAsync(request);
+  };
   for (uint64_t v = 2; v <= kSwaps + 1; ++v) {
+    std::vector<std::future<Outcome<Recommendation>>> inflight;
+    for (int i = 0; i < kInflightPerSwap; ++i) inflight.push_back(submit());
     const Outcome<uint64_t> published = engine.Publish(
         ServableModel::Wrap(*generations[v - 1], /*num_items=*/100));
     ASSERT_TRUE(published.ok()) << published.status().ToString();
     EXPECT_EQ(published.value(), v);
+    bool served_new = false;
+    for (int i = 0; i < 10000 && !served_new; ++i) {
+      const Outcome<Recommendation> outcome = submit().get();
+      if (!outcome.ok()) {
+        ++swap_not_ok;
+      } else {
+        served_new = outcome.value().model_version == v;
+      }
+    }
+    EXPECT_TRUE(served_new) << "version " << v << " never answered";
+    for (auto& future : inflight) {
+      if (!future.get().ok()) ++swap_not_ok;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   for (std::thread& client : clients) client.join();
   stop.store(true);
+
+  EXPECT_EQ(swap_not_ok, 0u) << "requests across a publish failed";
 
   EXPECT_EQ(answered.load(),
             static_cast<uint64_t>(kClients) * kRequestsPerClient);

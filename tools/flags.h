@@ -166,9 +166,8 @@ struct EngineFlags {
   }
 };
 
-/// Model artifact flags shared by isrec_cli, isrec_serve and
-/// bench_serving — one definition of how a tool names, loads, and
-/// refreshes a model:
+/// Model artifact flags shared by isrec_cli and isrec_serve — one
+/// definition of how a tool names, loads, and refreshes a model:
 ///
 ///   --load PATH          checkpoint to load (ServableModel::Load).
 ///                        --checkpoint is accepted as an alias; both

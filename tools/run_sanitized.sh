@@ -1,11 +1,14 @@
 #!/bin/sh
-# Builds and runs the concurrency-sensitive tests under a sanitizer.
+# Builds and runs tests under a sanitizer.
 #
 #   tools/run_sanitized.sh [thread|address|address+undefined]
 #                          (default: thread)
 #
 # Uses a separate build tree (build-<san>san) so the normal Release
-# build stays untouched. Exercises the thread pool, the intra-op
+# build stays untouched. address+undefined runs every test binary
+# registered in tests/CMakeLists.txt, with UBSan reports fatal (see
+# ISREC_SANITIZE in CMakeLists.txt). thread and address run the
+# concurrency-sensitive list below. It exercises the thread pool, the intra-op
 # ParallelFor kernels, the serving engine (including the v2 outcome
 # paths: deadlines, shedding, fault injection, shutdown draining), the
 # status/fault primitives, the obs registry/trace buffers, and the
@@ -32,11 +35,15 @@ esac
 build="build-$(echo "$san" | tr -d '+')san"
 cmake -B "$build" -S . -DISREC_SANITIZE="$san" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-tests="thread_pool_test parallel_ops_test lru_cache_test status_test \
+if [ "$san" = "address+undefined" ]; then
+  tests=$(sed -n 's/^isrec_add_test(\([a-z0-9_]*\) .*/\1/p' tests/CMakeLists.txt)
+else
+  tests="thread_pool_test parallel_ops_test lru_cache_test status_test \
 serve_test obs_test admin_server_test router_test kernel_checker_test \
 quantize_test profiler_test"
+fi
 # shellcheck disable=SC2086  # Word-splitting the target list is intended.
-cmake --build "$build" -j --target $tests
+cmake --build "$build" -j "$(nproc)" --target $tests
 
 # Death tests fork, which TSan flags as a potential deadlock; they are
 # covered by the regular build, so skip them here.
