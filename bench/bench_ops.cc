@@ -452,8 +452,7 @@ std::vector<IsaCase> KernelSweepCases() {
 int RunKernelIsaSweep(std::vector<IsaRow>* rows) {
   utils::SetNumThreads(1);
   std::vector<kernels::Isa> isas;
-  for (kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2,
-                           kernels::Isa::kNeon}) {
+  for (kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2}) {
     if (kernels::Table(isa) != nullptr) isas.push_back(isa);
   }
   std::printf(

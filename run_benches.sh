@@ -3,7 +3,10 @@
 # first so partial runs still cover most artifacts. Serving latency and
 # capacity are measured by perfbench (`python3 perfbench/run.py`), not here.
 set -u
-out=/root/repo/bench_output.txt
+# Paths below are relative to the checkout this script lives in, so it
+# runs the same from any working directory.
+cd "$(dirname "$0")"
+out=bench_output.txt
 : > "$out"
 # bench_ops also runs the thread-count sweep plus the kernel-ISA sweep
 # (--kernels: scalar vs SIMD vs int8) and regenerates
@@ -11,7 +14,7 @@ out=/root/repo/bench_output.txt
 # not bitwise identical to the serial run, if an EXACT-class SIMD
 # kernel differs from scalar, or if the serving GEMM misses 2x).
 echo "##### build/bench/bench_ops (thread + kernel sweep) #####" >> "$out"
-build/bench/bench_ops --kernels --sweep-out /root/repo/BENCH_tensor_ops.json \
+build/bench/bench_ops --kernels --sweep-out BENCH_tensor_ops.json \
   >> "$out" 2>/dev/null
 echo "" >> "$out"
 for b in build/bench/bench_table3_datasets build/bench/bench_table4_concepts \

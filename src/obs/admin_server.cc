@@ -13,16 +13,7 @@
 #include "utils/logging.h"
 
 namespace isrec::obs {
-namespace {
 
-int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Prometheus metric names allow [a-zA-Z0-9_:]; the registry uses
-/// dotted names ("serve.requests" → "serve_requests").
 std::string SanitizeMetricName(const std::string& name) {
   std::string out = name;
   for (char& c : out) {
@@ -31,6 +22,14 @@ std::string SanitizeMetricName(const std::string& name) {
     if (!ok) c = '_';
   }
   return out;
+}
+
+namespace {
+
+int64_t NowMs() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 std::string FormatNumber(double v) {

@@ -131,6 +131,11 @@ class AdminServer {
 /// Escapes `&`, `<`, `>` and `"` for HTML text and attribute values.
 std::string HtmlEscape(const std::string& s);
 
+/// Prometheus metric names allow [a-zA-Z0-9_:]; the registry uses
+/// dotted names, so every other character maps to '_'
+/// ("serve.requests" → "serve_requests").
+std::string SanitizeMetricName(const std::string& name);
+
 /// Renders `snapshot` in the Prometheus text exposition format: metric
 /// names sanitized ('.' → '_'), `# TYPE` lines, histograms as
 /// cumulative `_bucket{le="..."}` series plus `_sum` and `_count`.

@@ -105,6 +105,9 @@ void Counter::Reset() {
   }
 }
 
+InstanceCounter::InstanceCounter(std::string_view name)
+    : series_(GetCounter(name)) {}
+
 // -- Gauge --------------------------------------------------------------
 
 void Gauge::Add(double delta) {

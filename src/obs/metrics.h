@@ -14,12 +14,16 @@ namespace isrec::obs {
 /// call sites hold stable references obtained once (registration takes a
 /// mutex, every later operation is lock-free sharded atomics).
 ///
-/// Overhead contract: instrumented code guards every record with
-/// `if (obs::MetricsEnabled())`, so the disabled path is exactly one
-/// branch on one relaxed atomic load. Recording never perturbs the
-/// numerics of the code it measures — it only reads clocks and bumps
-/// atomics — so results are bitwise identical with metrics on or off
-/// (enforced by obs_test).
+/// Overhead contract: the tensor, parallel, http, trace-drop,
+/// event-stream, train and eval instrumentation guards every record
+/// with `if (obs::MetricsEnabled())`, so its disabled path is exactly
+/// one branch on one relaxed atomic load.
+/// Serving and routing counts are InstanceCounters instead: always on,
+/// two relaxed atomics per event, so a rollout's outcome counts never
+/// vanish from /metrics. Recording never perturbs the numerics of the
+/// code it measures — it only reads clocks and bumps atomics — so
+/// results are bitwise identical with metrics on or off (enforced by
+/// obs_test).
 
 namespace internal {
 extern std::atomic<bool> g_metrics_enabled;
@@ -58,6 +62,29 @@ class Counter {
 
  private:
   internal::ShardCell shards_[internal::kShards];
+};
+
+/// One owner's count of an event, bound to the process-wide registry
+/// Counter of the same name. Add bumps both (two relaxed atomics, no
+/// branch, no mutex); Value and Reset see only this instance, while the
+/// registry series sums every instance in the process and outlives
+/// them. Serving engines, routers and online trainers each hold their
+/// own, so two in one process report their own counts side by side.
+class InstanceCounter {
+ public:
+  explicit InstanceCounter(std::string_view name);
+
+  void Add(uint64_t n = 1) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+    series_.Add(n);
+  }
+  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
+  /// Zeroes this instance only; the registry series keeps its sum.
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> value_{0};
+  Counter& series_;
 };
 
 /// Last-written instantaneous value (queue depth, loss, ...). A single

@@ -21,18 +21,6 @@ std::string FormatNumber(double v) {
   return buffer;
 }
 
-/// Prometheus metric names allow [a-zA-Z0-9_:] ("serve.requests" →
-/// "serve_requests"); same mapping as the per-process /metrics page.
-std::string SanitizeMetricName(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    if (!ok) c = '_';
-  }
-  return out;
-}
-
 uint64_t CounterOr(const std::vector<std::pair<std::string, uint64_t>>& sorted,
                    const std::string& name, uint64_t fallback) {
   const auto it = std::lower_bound(
@@ -267,7 +255,7 @@ std::string FleetAggregator::PrometheusFleetText() const {
   const obs::MetricsSnapshot totals = FleetTotalsLocked();
   std::string out;
   for (const auto& [name, total] : totals.counters) {
-    const std::string n = SanitizeMetricName(name);
+    const std::string n = obs::SanitizeMetricName(name);
     out += "# TYPE " + n + " counter\n";
     for (const auto& [replica, agg] : replicas_) {
       out += n + "{replica=\"" + replica + "\"} " +
@@ -276,7 +264,7 @@ std::string FleetAggregator::PrometheusFleetText() const {
     out += n + " " + std::to_string(total) + "\n";
   }
   for (const auto& [name, total] : totals.gauges) {
-    const std::string n = SanitizeMetricName(name);
+    const std::string n = obs::SanitizeMetricName(name);
     out += "# TYPE " + n + " gauge\n";
     for (const auto& [replica, agg] : replicas_) {
       for (const auto& [gauge, value] : agg.last.gauges) {
@@ -288,7 +276,7 @@ std::string FleetAggregator::PrometheusFleetText() const {
     out += n + " " + FormatNumber(total) + "\n";
   }
   for (const obs::HistogramSnapshot& merged : totals.histograms) {
-    const std::string n = SanitizeMetricName(merged.name);
+    const std::string n = obs::SanitizeMetricName(merged.name);
     out += "# TYPE " + n + " histogram\n";
     for (const auto& [replica, agg] : replicas_) {
       const obs::HistogramSnapshot* h = FindHistogram(agg.histograms,

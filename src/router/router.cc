@@ -118,24 +118,19 @@ void Router::Stop() {
   prober_.Stop();
 }
 
-void Router::Count(std::atomic<uint64_t>& local, const char* metric) {
-  local.fetch_add(1, std::memory_order_relaxed);
-  if (obs::MetricsEnabled()) obs::GetCounter(metric).Add(1);
-}
-
 RouterDecisions Router::decisions() const {
   RouterDecisions d;
-  d.requests = requests_.load(std::memory_order_relaxed);
-  d.bad_requests = bad_requests_.load(std::memory_order_relaxed);
-  d.forwarded = forwarded_.load(std::memory_order_relaxed);
-  d.spilled = spilled_.load(std::memory_order_relaxed);
-  d.drain_rerouted = drain_rerouted_.load(std::memory_order_relaxed);
-  d.down_rerouted = down_rerouted_.load(std::memory_order_relaxed);
-  d.retried = retried_.load(std::memory_order_relaxed);
-  d.transport_errors = transport_errors_.load(std::memory_order_relaxed);
-  d.rejected = rejected_.load(std::memory_order_relaxed);
-  d.expired = expired_.load(std::memory_order_relaxed);
-  d.drains = drains_.load(std::memory_order_relaxed);
+  d.requests = requests_.Value();
+  d.bad_requests = bad_requests_.Value();
+  d.forwarded = forwarded_.Value();
+  d.spilled = spilled_.Value();
+  d.drain_rerouted = drain_rerouted_.Value();
+  d.down_rerouted = down_rerouted_.Value();
+  d.retried = retried_.Value();
+  d.transport_errors = transport_errors_.Value();
+  d.rejected = rejected_.Value();
+  d.expired = expired_.Value();
+  d.drains = drains_.Value();
   return d;
 }
 
@@ -151,14 +146,14 @@ obs::HttpResponse Router::HandleRecommend(const obs::HttpRequest& http) {
   serve::Request request;
   std::string error;
   if (!serve::RecommendRequestFromJson(http.body, &request, &error)) {
-    Count(bad_requests_, "router.bad_requests");
+    bad_requests_.Add();
     out.status = 400;
     serve::RecommendResponse response;
     response.status = Status::InvalidArgument(error);
     out.body = serve::RecommendResponseToJson(response);
     return out;
   }
-  Count(requests_, "router.requests");
+  requests_.Add();
   // Trace decision: adopt an upstream trace id when the caller sent
   // one; otherwise sample per config ((n-1) % every == 0, so request
   // #1 is always traced). Inactive context = the historical untraced
@@ -233,7 +228,7 @@ serve::RecommendResponse Router::Route(const serve::Request& request,
     if (has_deadline) {
       remaining_ms = request.options.deadline_ms - MsSince(arrival);
       if (remaining_ms <= 0.0) {
-        Count(expired_, "router.expired");
+        expired_.Add();
         answer.status = Status::DeadlineExceeded(
             "deadline exhausted at router after " +
             std::to_string(tried.size()) + " attempt(s)");
@@ -249,7 +244,7 @@ serve::RecommendResponse Router::Route(const serve::Request& request,
         // relay its answer rather than synthesizing one.
         return finish(last_overloaded);
       }
-      Count(rejected_, "router.rejected");
+      rejected_.Add();
       answer.status = Status::Overloaded(
           last_transport_error.empty()
               ? "no routable replica"
@@ -258,7 +253,7 @@ serve::RecommendResponse Router::Route(const serve::Request& request,
       return finish(answer);
     }
     if (decision.spilled) {
-      Count(spilled_, "router.spilled");
+      spilled_.Add();
       if (trace != nullptr) {
         const uint64_t now_ns = obs::TraceClockNs();
         add_span("router.req.spill", now_ns, now_ns,
@@ -266,10 +261,10 @@ serve::RecommendResponse Router::Route(const serve::Request& request,
       }
     }
     if (decision.skipped_draining) {
-      Count(drain_rerouted_, "router.drain_rerouted");
+      drain_rerouted_.Add();
     }
-    if (decision.skipped_down) Count(down_rerouted_, "router.down_rerouted");
-    Count(forwarded_, "router.forwarded");
+    if (decision.skipped_down) down_rerouted_.Add();
+    forwarded_.Add();
 
     serve::Request forwarded = request;
     double attempt_timeout_ms = 0.0;  // 0 = forwarder defaults.
@@ -312,7 +307,7 @@ serve::RecommendResponse Router::Route(const serve::Request& request,
     if (!result.answered) {
       // ReleaseTarget already marked the replica DOWN; re-home to the
       // next preference (bounded by the fleet size via `tried`).
-      Count(transport_errors_, "router.transport_errors");
+      transport_errors_.Add();
       last_transport_error = target.name + ": " + result.transport_error;
       if (trace != nullptr) {
         const uint64_t now_ns = obs::TraceClockNs();
@@ -327,7 +322,7 @@ serve::RecommendResponse Router::Route(const serve::Request& request,
         (!has_deadline ||
          request.options.deadline_ms - MsSince(arrival) >
              config_.retry_min_budget_ms)) {
-      Count(retried_, "router.retried");
+      retried_.Add();
       ++overload_retries;
       last_overloaded = result.response;
       have_overloaded = true;
@@ -350,7 +345,7 @@ obs::HttpResponse Router::HandleDrain(const obs::HttpRequest& http) {
   if (!table_.StartDrain(name)) {
     return JsonError(404, "unknown replica '" + name + "'");
   }
-  Count(drains_, "router.drains");
+  drains_.Add();
   const double wait_ms = std::atof(http.QueryOr("wait_ms", "0").c_str());
   bool drained = false;
   if (wait_ms > 0.0) drained = table_.WaitDrained(name, wait_ms);

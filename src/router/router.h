@@ -8,6 +8,7 @@
 
 #include "obs/admin_server.h"
 #include "obs/http.h"
+#include "obs/metrics.h"
 #include "obs/trace_context.h"
 #include "router/fleet.h"
 #include "router/forwarder.h"
@@ -69,9 +70,10 @@ struct RouterConfig {
   bool fleet_metrics = true;
 };
 
-/// Routing decision counts since start — always tracked (independent of
-/// obs::MetricsEnabled) so /varz and tests can read them cheaply; each
-/// is mirrored to an obs counter `router.<field>` when metrics are on.
+/// This router's decision counts since start. Each field is an
+/// obs::InstanceCounter: one Add per decision updates the router's own
+/// value and the process-wide series `router.<field>`, with metrics on
+/// or off.
 struct RouterDecisions {
   uint64_t requests = 0;          // /recommend requests parsed OK.
   uint64_t bad_requests = 0;      // /recommend requests that failed to parse.
@@ -152,7 +154,6 @@ class Router {
 
   std::string VarzJson() const;
   std::string StatuszHtml() const;
-  void Count(std::atomic<uint64_t>& local, const char* metric);
 
   RouterConfig config_;
   HashRing ring_;        // Membership fixed at construction; reads only.
@@ -164,17 +165,17 @@ class Router {
   TraceStore traces_;
   std::atomic<uint64_t> trace_counter_{0};  // Requests seen, for sampling.
 
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> bad_requests_{0};
-  std::atomic<uint64_t> forwarded_{0};
-  std::atomic<uint64_t> spilled_{0};
-  std::atomic<uint64_t> drain_rerouted_{0};
-  std::atomic<uint64_t> down_rerouted_{0};
-  std::atomic<uint64_t> retried_{0};
-  std::atomic<uint64_t> transport_errors_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> expired_{0};
-  std::atomic<uint64_t> drains_{0};
+  obs::InstanceCounter requests_{"router.requests"};
+  obs::InstanceCounter bad_requests_{"router.bad_requests"};
+  obs::InstanceCounter forwarded_{"router.forwarded"};
+  obs::InstanceCounter spilled_{"router.spilled"};
+  obs::InstanceCounter drain_rerouted_{"router.drain_rerouted"};
+  obs::InstanceCounter down_rerouted_{"router.down_rerouted"};
+  obs::InstanceCounter retried_{"router.retried"};
+  obs::InstanceCounter transport_errors_{"router.transport_errors"};
+  obs::InstanceCounter rejected_{"router.rejected"};
+  obs::InstanceCounter expired_{"router.expired"};
+  obs::InstanceCounter drains_{"router.drains"};
 };
 
 }  // namespace isrec::router

@@ -289,11 +289,9 @@ void SaveCheckpoint(const core::IsrecModel& model, const std::string& path,
   WritePrior(f, *dataset);
   nn::SaveParameters(model, f);
   std::fclose(f);
-  if (obs::MetricsEnabled()) {
-    static obs::Histogram& save_ms = obs::GetHistogram(
-        "serve.checkpoint_save_ms", obs::LatencyBucketsMs());
-    save_ms.Observe(sw.ElapsedMillis());
-  }
+  static obs::Histogram& save_ms =
+      obs::GetHistogram("serve.checkpoint_save_ms", obs::LatencyBucketsMs());
+  save_ms.Observe(sw.ElapsedMillis());
 }
 
 namespace {
@@ -373,14 +371,12 @@ Outcome<std::shared_ptr<ServableModel>> ServableModel::Load(
   if (!result.ok()) {
     ISREC_LOG(Warning) << result.status().message();
   }
-  if (obs::MetricsEnabled()) {
-    static obs::Histogram& load_ms = obs::GetHistogram(
-        "serve.checkpoint_load_ms", obs::LatencyBucketsMs());
-    static obs::Counter& failures =
-        obs::GetCounter("serve.checkpoint_load_failures");
-    load_ms.Observe(sw.ElapsedMillis());
-    if (!result.ok()) failures.Add(1);
-  }
+  static obs::Histogram& load_ms =
+      obs::GetHistogram("serve.checkpoint_load_ms", obs::LatencyBucketsMs());
+  static obs::Counter& failures =
+      obs::GetCounter("serve.checkpoint_load_failures");
+  load_ms.Observe(sw.ElapsedMillis());
+  if (!result.ok()) failures.Add(1);
   return result;
 }
 

@@ -21,13 +21,11 @@ using Clock = std::chrono::steady_clock;
 // Queue-depth gauge, written inside the queue lock on every transition
 // so the snapshot is an exact instantaneous depth.
 void SetQueueDepth(size_t depth) {
-  if (!obs::MetricsEnabled()) return;
   static obs::Gauge& gauge = obs::GetGauge("serve.queue_depth");
   gauge.Set(static_cast<double>(depth));
 }
 
 void SetModelVersionGauge(uint64_t version) {
-  if (!obs::MetricsEnabled()) return;
   static obs::Gauge& gauge = obs::GetGauge("serve.model_version");
   gauge.Set(static_cast<double>(version));
 }
@@ -90,19 +88,6 @@ Status ValidateServable(const std::shared_ptr<ServableModel>& model) {
   return Status::Ok();
 }
 
-// Request phases the engine attributes allocations to (heap profiling
-// on): the indices of kAllocPhaseNames and the serve.alloc.* counters.
-enum AllocPhase {
-  kAllocEnqueue = 0,
-  kAllocBatch,
-  kAllocScore,
-  kAllocRespond,
-  kNumAllocPhases,
-};
-
-const char* const kAllocPhaseNames[kNumAllocPhases] = {"enqueue", "batch",
-                                                       "score", "respond"};
-
 }  // namespace
 
 /// RAII per-phase allocation accounting: an AllocationCounter scope
@@ -129,25 +114,9 @@ struct PhaseAllocScope {
 void ServingEngine::RecordPhaseAllocations(int phase, uint64_t count,
                                            uint64_t bytes) {
   if (count == 0 && bytes == 0) return;
-  alloc_count_.fetch_add(count, std::memory_order_relaxed);
-  alloc_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  if (!obs::MetricsEnabled()) return;
   ISREC_CHECK(phase >= 0 && phase < kNumAllocPhases);
-  // One counter pair per phase, resolved once (function-local statics).
-  static obs::Counter* const counts[kNumAllocPhases] = {
-      &obs::GetCounter("serve.alloc.enqueue.count"),
-      &obs::GetCounter("serve.alloc.batch.count"),
-      &obs::GetCounter("serve.alloc.score.count"),
-      &obs::GetCounter("serve.alloc.respond.count"),
-  };
-  static obs::Counter* const byte_counts[kNumAllocPhases] = {
-      &obs::GetCounter("serve.alloc.enqueue.bytes"),
-      &obs::GetCounter("serve.alloc.batch.bytes"),
-      &obs::GetCounter("serve.alloc.score.bytes"),
-      &obs::GetCounter("serve.alloc.respond.bytes"),
-  };
-  counts[phase]->Add(count);
-  byte_counts[phase]->Add(bytes);
+  alloc_counts_[phase].Add(count);
+  alloc_bytes_[phase].Add(bytes);
 }
 
 size_t RequestKeyHash::operator()(const RequestKey& key) const {
@@ -261,11 +230,9 @@ std::shared_ptr<const ModelHandle> ServingEngine::CurrentModel() const {
 Outcome<uint64_t> ServingEngine::Publish(std::shared_ptr<ServableModel> model) {
   ISREC_TRACE_SPAN("serve.publish");
   if (Status valid = ValidateServable(model); !valid.ok()) {
-    if (obs::MetricsEnabled()) {
-      static obs::Counter& rejected =
-          obs::GetCounter("serve.model_publish_rejected");
-      rejected.Add(1);
-    }
+    static obs::Counter& rejected =
+        obs::GetCounter("serve.model_publish_rejected");
+    rejected.Add(1);
     return Outcome<uint64_t>(std::move(valid));
   }
   uint64_t version = 0;
@@ -279,12 +246,8 @@ Outcome<uint64_t> ServingEngine::Publish(std::shared_ptr<ServableModel> model) {
     live_num_items_.store(live_->num_items(), std::memory_order_release);
     live_version_.store(version, std::memory_order_release);
   }
-  model_swaps_.fetch_add(1, std::memory_order_relaxed);
+  model_swaps_.Add();
   SetModelVersionGauge(version);
-  if (obs::MetricsEnabled()) {
-    static obs::Counter& swaps = obs::GetCounter("serve.model_swaps");
-    swaps.Add(1);
-  }
   return version;
 }
 
@@ -369,9 +332,11 @@ ServeStats ServingEngine::Stats() const {
       stats.model_epoch = live_->epoch();
     }
   }
-  stats.model_swaps = model_swaps_.load(std::memory_order_relaxed);
-  stats.alloc_count = alloc_count_.load(std::memory_order_relaxed);
-  stats.alloc_bytes = alloc_bytes_.load(std::memory_order_relaxed);
+  stats.model_swaps = model_swaps_.Value();
+  for (int phase = 0; phase < kNumAllocPhases; ++phase) {
+    stats.alloc_count += alloc_counts_[phase].Value();
+    stats.alloc_bytes += alloc_bytes_[phase].Value();
+  }
   stats.alloc_requests = alloc_requests_.load(std::memory_order_relaxed);
   return stats;
 }

@@ -268,9 +268,18 @@ class ServingEngine {
   /// Resolves a pending with `outcome`, recording its status code.
   void Answer(Pending&& pending, Outcome<Recommendation> outcome);
 
+  /// Request phases the engine attributes allocations to (heap
+  /// profiling on), in the order of the alloc_counts_/alloc_bytes_ rows.
+  enum AllocPhase : int {
+    kAllocEnqueue = 0,
+    kAllocBatch,
+    kAllocScore,
+    kAllocRespond,
+    kNumAllocPhases,
+  };
+
   /// Folds one request phase's AllocationCounter totals (heap profiling
-  /// on) into the engine aggregates + the serve.alloc.* registry
-  /// counters. `phase` indexes kAllocPhaseNames in engine.cc.
+  /// on) into that phase's counters.
   friend struct PhaseAllocScope;
   void RecordPhaseAllocations(int phase, uint64_t count, uint64_t bytes);
 
@@ -287,7 +296,7 @@ class ServingEngine {
   std::shared_ptr<const ModelHandle> live_;
   std::atomic<uint64_t> live_version_{0};
   std::atomic<Index> live_num_items_{0};
-  std::atomic<uint64_t> model_swaps_{0};
+  obs::InstanceCounter model_swaps_{"serve.model_swaps"};
 
   // Bounded MPMC queue. Close() (from the destructor) wakes everything;
   // workers answer remaining queued requests with kOverloaded before
@@ -303,12 +312,23 @@ class ServingEngine {
   std::unique_ptr<LruCache<RequestKey, Recommendation, RequestKeyHash>> cache_;
   StatsRecorder stats_;
 
-  /// Heap-accounting aggregates (only ticked while heap profiling is
-  /// enabled): allocations/bytes attributed to the serving pipeline's
-  /// request phases, and the number of requests answered while counting
-  /// — the allocs/request denominator (ServeStats::allocs_per_request).
-  std::atomic<uint64_t> alloc_count_{0};
-  std::atomic<uint64_t> alloc_bytes_{0};
+  /// Heap accounting (only ticked while heap profiling is enabled):
+  /// allocations/bytes per request phase (serve.alloc.<phase>.count and
+  /// .bytes; Stats() sums the phases), and the number of requests
+  /// answered while counting — the allocs/request denominator
+  /// (ServeStats::allocs_per_request).
+  obs::InstanceCounter alloc_counts_[kNumAllocPhases] = {
+      obs::InstanceCounter("serve.alloc.enqueue.count"),
+      obs::InstanceCounter("serve.alloc.batch.count"),
+      obs::InstanceCounter("serve.alloc.score.count"),
+      obs::InstanceCounter("serve.alloc.respond.count"),
+  };
+  obs::InstanceCounter alloc_bytes_[kNumAllocPhases] = {
+      obs::InstanceCounter("serve.alloc.enqueue.bytes"),
+      obs::InstanceCounter("serve.alloc.batch.bytes"),
+      obs::InstanceCounter("serve.alloc.score.bytes"),
+      obs::InstanceCounter("serve.alloc.respond.bytes"),
+  };
   std::atomic<uint64_t> alloc_requests_{0};
 
   // Last member so workers die before the members they use.

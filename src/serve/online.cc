@@ -17,15 +17,11 @@
 namespace isrec::serve {
 namespace {
 
-void CountOnline(const char* metric) {
-  if (obs::MetricsEnabled()) obs::GetCounter(metric).Add(1);
-}
-
 // Freshness gauges (DESIGN.md "Profiling plane" satellite): how far the
 // online trainer lags its stream. Exported to /varz and /metrics like
 // every other registry gauge.
 void SetOnlineGauge(const char* metric, double value) {
-  if (obs::MetricsEnabled()) obs::GetGauge(metric).Set(value);
+  obs::GetGauge(metric).Set(value);
 }
 
 obs::HttpResponse JsonError(int status, const std::string& message) {
@@ -187,7 +183,6 @@ Status OnlineTrainer::RefreshOnce() {
     stats_.last_loss = loss;
     epoch = stats_.epoch;
   }
-  CountOnline("serve.online_refreshes");
 
   // 3. Versioned artifact: "<base>.v<epoch>" (epochs are monotonic, so
   // names never collide and the history stays replayable).
@@ -208,21 +203,20 @@ Status OnlineTrainer::RefreshOnce() {
     if (!published.ok()) {
       ++stats_.failures;
       stats_.last_error = published.status().ToString();
-      CountOnline("serve.online_publish_failures");
+      publish_failures_.Add();
       return published.status();
     }
     stats_.last_published_version = published.value();
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.refreshes;
-  }
+  refreshes_.Add();
   return Status::Ok();
 }
 
 OnlineTrainerStats OnlineTrainer::Stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  OnlineTrainerStats stats = stats_;
+  stats.refreshes = refreshes_.Value();
+  return stats;
 }
 
 }  // namespace isrec::serve

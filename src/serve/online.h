@@ -134,7 +134,13 @@ class OnlineTrainer {
       std::chrono::steady_clock::now();
 
   mutable std::mutex mutex_;  // Guards stats_ (the loop owns the rest).
-  OnlineTrainerStats stats_;
+  OnlineTrainerStats stats_;  // All but refreshes, which refreshes_ owns.
+  /// Completed refreshes (serve.online_refreshes) and failed publishes
+  /// (serve.online_publish_failures, registry only: stats_.failures
+  /// counts them together with poll errors).
+  obs::InstanceCounter refreshes_{"serve.online_refreshes"};
+  obs::Counter& publish_failures_ =
+      obs::GetCounter("serve.online_publish_failures");
 
   std::mutex loop_mutex_;
   std::condition_variable loop_cv_;

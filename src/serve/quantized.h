@@ -18,7 +18,7 @@ namespace isrec::serve {
 /// and an all-zero q row, so its dequantized dot contribution is
 /// exactly 0 (never 0/0). Quantization runs through the shared scalar
 /// kernel on every ISA, so the quantized values — and therefore int8
-/// scores — are identical across scalar/AVX2/NEON.
+/// scores — are identical across scalar/AVX2.
 struct QuantizedMatrix {
   Index rows = 0;
   Index cols = 0;

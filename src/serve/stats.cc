@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "obs/metrics.h"
 #include "utils/table.h"
 
 namespace isrec::serve {
@@ -28,196 +27,103 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-// Shared-registry mirrors (obs::MetricsEnabled() checked by callers).
-obs::Counter& RequestsCounter() {
-  static obs::Counter& c = obs::GetCounter("serve.requests");
-  return c;
-}
-obs::Counter& CacheHitsCounter() {
-  static obs::Counter& c = obs::GetCounter("serve.cache_hits");
-  return c;
-}
-obs::Counter& CacheMissesCounter() {
-  static obs::Counter& c = obs::GetCounter("serve.cache_misses");
-  return c;
-}
-obs::Counter& BatchesCounter() {
-  static obs::Counter& c = obs::GetCounter("serve.batches");
-  return c;
-}
-obs::Histogram& LatencyHistogram() {
-  static obs::Histogram& h =
-      obs::GetHistogram("serve.latency_ms", obs::LatencyBucketsMs());
-  return h;
-}
-obs::Histogram& BatchSizeHistogram() {
-  static obs::Histogram& h =
-      obs::GetHistogram("serve.batch_size", obs::LinearBuckets(1.0, 1.0, 64));
-  return h;
-}
-obs::Counter& OkCounter() {
-  static obs::Counter& c = obs::GetCounter("serve.ok");
-  return c;
-}
-obs::Counter& RejectedCounter() {
-  static obs::Counter& c = obs::GetCounter("serve.rejected");
-  return c;
-}
-obs::Counter& DeadlineExceededCounter() {
-  static obs::Counter& c = obs::GetCounter("serve.deadline_exceeded");
-  return c;
-}
-obs::Counter& DegradedCounter() {
-  static obs::Counter& c = obs::GetCounter("serve.degraded");
-  return c;
-}
-obs::Counter& InvalidArgumentsCounter() {
-  static obs::Counter& c = obs::GetCounter("serve.invalid_arguments");
-  return c;
-}
-obs::Counter& ModelErrorsCounter() {
-  static obs::Counter& c = obs::GetCounter("serve.model_errors");
-  return c;
-}
-
 }  // namespace
 
-void StatsRecorder::RecordLatencyLocked(double latency_ms) {
+void StatsRecorder::RecordLatenciesLocked(
+    std::span<const double> latencies_ms) {
+  if (latencies_ms.empty()) return;
   if (start_seconds_ < 0.0) start_seconds_ = NowSeconds();
-  ++num_latencies_;
-  // Vitter's algorithm R: once the reservoir is full, the i-th sample
-  // (1-based) replaces a uniformly drawn slot with probability cap/i, so
-  // every sample seen so far is retained with equal probability.
-  if (latency_reservoir_.size() < kReservoirCapacity) {
-    latency_reservoir_.push_back(latency_ms);
-    return;
+  uint64_t seen = requests_.Value();
+  for (const double latency_ms : latencies_ms) {
+    ++seen;
+    // Vitter's algorithm R: once the reservoir is full, the i-th sample
+    // (1-based) replaces a uniformly drawn slot with probability cap/i,
+    // so every sample seen so far is retained with equal probability.
+    if (latency_reservoir_.size() < kReservoirCapacity) {
+      latency_reservoir_.push_back(latency_ms);
+      continue;
+    }
+    const uint64_t slot = SplitMix64(&reservoir_rng_) % seen;
+    if (slot < kReservoirCapacity) {
+      latency_reservoir_[static_cast<size_t>(slot)] = latency_ms;
+    }
   }
-  const uint64_t slot = SplitMix64(&reservoir_rng_) % num_latencies_;
-  if (slot < kReservoirCapacity) {
-    latency_reservoir_[static_cast<size_t>(slot)] = latency_ms;
+  requests_.Add(latencies_ms.size());
+}
+
+void StatsRecorder::RecordBatchLocked(Index batch_size) {
+  if (batch_size_histogram_.size() <= static_cast<size_t>(batch_size)) {
+    batch_size_histogram_.resize(batch_size + 1, 0);
   }
+  ++batch_size_histogram_[batch_size];
+  batches_.Add();
 }
 
 void StatsRecorder::RecordRequest(double latency_ms, bool cache_hit) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    RecordLatencyLocked(latency_ms);
-    if (cache_hit) {
-      ++cache_hits_;
-    } else {
-      ++cache_misses_;
-    }
+    RecordLatenciesLocked({&latency_ms, 1});
+    (cache_hit ? cache_hits_ : cache_misses_).Add();
   }
-  if (obs::MetricsEnabled()) {
-    RequestsCounter().Add(1);
-    (cache_hit ? CacheHitsCounter() : CacheMissesCounter()).Add(1);
-    LatencyHistogram().Observe(latency_ms);
-  }
+  latency_ms_.Observe(latency_ms);
 }
 
 void StatsRecorder::RecordBatch(Index batch_size) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (batch_size_histogram_.size() <= static_cast<size_t>(batch_size)) {
-      batch_size_histogram_.resize(batch_size + 1, 0);
-    }
-    ++batch_size_histogram_[batch_size];
-    ++num_batches_;
+    RecordBatchLocked(batch_size);
   }
-  if (obs::MetricsEnabled()) {
-    BatchesCounter().Add(1);
-    BatchSizeHistogram().Observe(static_cast<double>(batch_size));
-  }
+  batch_size_.Observe(static_cast<double>(batch_size));
 }
 
 void StatsRecorder::RecordProcessedBatch(
     Index batch_size, const std::vector<double>& latencies_ms) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (batch_size_histogram_.size() <= static_cast<size_t>(batch_size)) {
-      batch_size_histogram_.resize(batch_size + 1, 0);
-    }
-    ++batch_size_histogram_[batch_size];
-    ++num_batches_;
-    for (const double latency_ms : latencies_ms) {
-      RecordLatencyLocked(latency_ms);
-    }
-    cache_misses_ += latencies_ms.size();
+    RecordBatchLocked(batch_size);
+    RecordLatenciesLocked(latencies_ms);
+    cache_misses_.Add(latencies_ms.size());
   }
-  if (obs::MetricsEnabled()) {
-    BatchesCounter().Add(1);
-    BatchSizeHistogram().Observe(static_cast<double>(batch_size));
-    RequestsCounter().Add(latencies_ms.size());
-    CacheMissesCounter().Add(latencies_ms.size());
-    for (const double latency_ms : latencies_ms) {
-      LatencyHistogram().Observe(latency_ms);
-    }
+  batch_size_.Observe(static_cast<double>(batch_size));
+  for (const double latency_ms : latencies_ms) {
+    latency_ms_.Observe(latency_ms);
   }
 }
 
 void StatsRecorder::RecordOutcome(StatusCode code) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    switch (code) {
-      case StatusCode::kOk:
-        ++ok_;
-        break;
-      case StatusCode::kOverloaded:
-        ++rejected_;
-        break;
-      case StatusCode::kDeadlineExceeded:
-        ++deadline_exceeded_;
-        break;
-      case StatusCode::kDegraded:
-        ++degraded_;
-        break;
-      case StatusCode::kInvalidArgument:
-        ++invalid_arguments_;
-        break;
-      case StatusCode::kModelError:
-        ++model_errors_;
-        break;
-    }
-  }
-  if (obs::MetricsEnabled()) {
-    switch (code) {
-      case StatusCode::kOk:
-        OkCounter().Add(1);
-        break;
-      case StatusCode::kOverloaded:
-        RejectedCounter().Add(1);
-        break;
-      case StatusCode::kDeadlineExceeded:
-        DeadlineExceededCounter().Add(1);
-        break;
-      case StatusCode::kDegraded:
-        DegradedCounter().Add(1);
-        break;
-      case StatusCode::kInvalidArgument:
-        InvalidArgumentsCounter().Add(1);
-        break;
-      case StatusCode::kModelError:
-        ModelErrorsCounter().Add(1);
-        break;
-    }
+  switch (code) {
+    case StatusCode::kOk:
+      ok_.Add();
+      break;
+    case StatusCode::kOverloaded:
+      rejected_.Add();
+      break;
+    case StatusCode::kDeadlineExceeded:
+      deadline_exceeded_.Add();
+      break;
+    case StatusCode::kDegraded:
+      degraded_.Add();
+      break;
+    case StatusCode::kInvalidArgument:
+      invalid_arguments_.Add();
+      break;
+    case StatusCode::kModelError:
+      model_errors_.Add();
+      break;
   }
 }
 
 void StatsRecorder::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   latency_reservoir_.clear();
-  num_latencies_ = 0;
   reservoir_rng_ = 0x9e3779b97f4a7c15ull;
   batch_size_histogram_.clear();
-  cache_hits_ = 0;
-  cache_misses_ = 0;
-  num_batches_ = 0;
-  ok_ = 0;
-  rejected_ = 0;
-  deadline_exceeded_ = 0;
-  degraded_ = 0;
-  invalid_arguments_ = 0;
-  model_errors_ = 0;
+  for (obs::InstanceCounter* counter :
+       {&requests_, &cache_hits_, &cache_misses_, &batches_, &ok_,
+        &rejected_, &deadline_exceeded_, &degraded_, &invalid_arguments_,
+        &model_errors_}) {
+    counter->Reset();
+  }
   // Lazy re-arm: the window restarts at the next recorded event, not at
   // Reset() time, so a long idle gap before the next burst does not
   // deflate qps (see header contract; pinned by serve_test).
@@ -230,20 +136,20 @@ ServeStats StatsRecorder::Snapshot() const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     latencies = latency_reservoir_;
-    stats.num_requests = num_latencies_;
+    stats.num_requests = requests_.Value();
     stats.batch_size_histogram = batch_size_histogram_;
-    stats.cache_hits = cache_hits_;
-    stats.cache_misses = cache_misses_;
-    stats.num_batches = num_batches_;
-    stats.ok = ok_;
-    stats.rejected = rejected_;
-    stats.deadline_exceeded = deadline_exceeded_;
-    stats.degraded = degraded_;
-    stats.invalid_arguments = invalid_arguments_;
-    stats.model_errors = model_errors_;
+    stats.cache_hits = cache_hits_.Value();
+    stats.cache_misses = cache_misses_.Value();
+    stats.num_batches = batches_.Value();
     stats.elapsed_seconds =
         start_seconds_ < 0.0 ? 0.0 : NowSeconds() - start_seconds_;
   }
+  stats.ok = ok_.Value();
+  stats.rejected = rejected_.Value();
+  stats.deadline_exceeded = deadline_exceeded_.Value();
+  stats.degraded = degraded_.Value();
+  stats.invalid_arguments = invalid_arguments_.Value();
+  stats.model_errors = model_errors_.Value();
   if (stats.elapsed_seconds > 0.0) {
     stats.qps = stats.num_requests / stats.elapsed_seconds;
   }

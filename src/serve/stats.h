@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "tensor/tensor.h"
 #include "utils/status.h"
 
@@ -108,11 +110,13 @@ std::string OutcomesLine(const ServeStats& stats);
 /// algorithm R, deterministic internal RNG), so memory stays O(1) no
 /// matter how long the engine runs; p50/p95/p99 are estimates whose
 /// error shrinks with the reservoir size (bounded-tolerance tested in
-/// serve_test). When obs::MetricsEnabled(), every record is mirrored
-/// into the process-wide registry (serve.requests, serve.cache_hits,
-/// serve.cache_misses, serve.batches counters; serve.latency_ms and
-/// serve.batch_size histograms), making serve_stats one view of the
-/// shared obs data.
+/// serve_test). Every count is an obs::InstanceCounter: one Add per
+/// event updates this recorder's own value and the process-wide series
+/// of the same name (serve.requests, serve.cache_hits,
+/// serve.cache_misses, serve.batches and the six outcome counters), and
+/// every sample also lands in the serve.latency_ms and serve.batch_size
+/// registry histograms — with metrics on or off. ServeStats stays
+/// per-recorder; the registry sums every engine in the process.
 class StatsRecorder {
  public:
   /// Latency samples kept for the percentile estimates.
@@ -129,8 +133,7 @@ class StatsRecorder {
                             const std::vector<double>& latencies_ms);
 
   /// Counts a terminal outcome code: every code (kOk included) bumps
-  /// its dedicated counter and, when obs::MetricsEnabled(), the
-  /// matching registry counter (serve.ok, serve.rejected,
+  /// its dedicated counter (serve.ok, serve.rejected,
   /// serve.deadline_exceeded, serve.degraded, serve.invalid_arguments,
   /// serve.model_errors). The engine calls this exactly once per
   /// terminal answer, so the six counters sum to answered requests.
@@ -146,25 +149,36 @@ class StatsRecorder {
   ServeStats Snapshot() const;
 
  private:
-  // Mutex held: reservoir-samples latency_ms and mirrors the window
-  // start.
-  void RecordLatencyLocked(double latency_ms);
+  // Mutex held: counts the requests and reservoir-samples their
+  // latencies; the first one arms the window.
+  void RecordLatenciesLocked(std::span<const double> latencies_ms);
+  // Mutex held: counts one micro-batch of `batch_size` requests.
+  void RecordBatchLocked(Index batch_size);
 
+  // Guards the reservoir, the batch-size histogram, the window start
+  // and the request, cache and batch counts, so a Snapshot sees them
+  // consistently. The outcome counts need no lock.
   mutable std::mutex mutex_;
   std::vector<double> latency_reservoir_;
-  uint64_t num_latencies_ = 0;   // Total recorded, >= reservoir size.
   uint64_t reservoir_rng_ = 0x9e3779b97f4a7c15ull;  // splitmix64 state.
   std::vector<uint64_t> batch_size_histogram_;
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
-  uint64_t num_batches_ = 0;
-  uint64_t ok_ = 0;
-  uint64_t rejected_ = 0;
-  uint64_t deadline_exceeded_ = 0;
-  uint64_t degraded_ = 0;
-  uint64_t invalid_arguments_ = 0;
-  uint64_t model_errors_ = 0;
   double start_seconds_ = -1.0;  // Monotonic; set lazily on first record.
+
+  // requests_ doubles as the reservoir's samples-seen count.
+  obs::InstanceCounter requests_{"serve.requests"};
+  obs::InstanceCounter cache_hits_{"serve.cache_hits"};
+  obs::InstanceCounter cache_misses_{"serve.cache_misses"};
+  obs::InstanceCounter batches_{"serve.batches"};
+  obs::InstanceCounter ok_{"serve.ok"};
+  obs::InstanceCounter rejected_{"serve.rejected"};
+  obs::InstanceCounter deadline_exceeded_{"serve.deadline_exceeded"};
+  obs::InstanceCounter degraded_{"serve.degraded"};
+  obs::InstanceCounter invalid_arguments_{"serve.invalid_arguments"};
+  obs::InstanceCounter model_errors_{"serve.model_errors"};
+  obs::Histogram& latency_ms_ =
+      obs::GetHistogram("serve.latency_ms", obs::LatencyBucketsMs());
+  obs::Histogram& batch_size_ =
+      obs::GetHistogram("serve.batch_size", obs::LinearBuckets(1.0, 1.0, 64));
 };
 
 }  // namespace isrec::serve

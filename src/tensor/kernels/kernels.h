@@ -114,7 +114,6 @@ struct KernelTable {
 // their TU was compiled without the matching target support.
 const KernelTable* ScalarKernelTable();
 const KernelTable* Avx2KernelTable();  // null unless compiled with AVX2+FMA
-const KernelTable* NeonKernelTable();  // null unless compiled for NEON
 
 }  // namespace isrec::kernels
 

@@ -10,7 +10,7 @@
 namespace isrec::kernels {
 namespace {
 
-const char* const kIsaNames[kNumIsas] = {"scalar", "avx2", "neon"};
+const char* const kIsaNames[kNumIsas] = {"scalar", "avx2"};
 
 const char* const kKernelNames[static_cast<int>(KernelId::kCount)] = {
     "gemm_plain",  "gemm_transa", "gemm_transb", "gemm_transab",
@@ -35,7 +35,6 @@ Isa ProbeBestIsa() {
     return Isa::kAvx2;
   }
 #endif
-  if (NeonKernelTable() != nullptr) return Isa::kNeon;  // aarch64 baseline.
   return Isa::kScalar;
 }
 
@@ -74,8 +73,8 @@ void InitOnce(ActiveState& s) {
       }
       if (!matched) {
         std::fprintf(stderr,
-                     "isrec: unknown ISREC_KERNEL_ISA=%s (want scalar|avx2|"
-                     "neon), using %s\n",
+                     "isrec: unknown ISREC_KERNEL_ISA=%s (want scalar|avx2), "
+                     "using %s\n",
                      env, kIsaNames[static_cast<int>(chosen)]);
       }
     }
@@ -100,8 +99,6 @@ const KernelTable* Table(Isa isa) {
       }
 #endif
       return Avx2KernelTable();
-    case Isa::kNeon:
-      return NeonKernelTable();
   }
   return nullptr;
 }
@@ -124,7 +121,6 @@ Isa ActiveIsa() {
 std::vector<std::string> CompiledIsas() {
   std::vector<std::string> out = {"scalar"};
   if (Avx2KernelTable() != nullptr) out.push_back("avx2");
-  if (NeonKernelTable() != nullptr) out.push_back("neon");
   return out;
 }
 

@@ -12,14 +12,14 @@ namespace isrec::kernels {
 // portable reference and is always available; the others exist only
 // when both (a) the TU was compiled with the matching target flags and
 // (b) the running CPU reports support (CPUID probe on x86).
-enum class Isa : int { kScalar = 0, kAvx2 = 1, kNeon = 2 };
-inline constexpr int kNumIsas = 3;
+enum class Isa : int { kScalar = 0, kAvx2 = 1 };
+inline constexpr int kNumIsas = 2;
 
 const char* IsaName(Isa isa);
 
 // The active kernel set. Resolved once on first use: best compiled-in
 // ISA the CPU supports, unless the ISREC_KERNEL_ISA environment
-// variable (scalar|avx2|neon) forces a tier. Forcing an unavailable
+// variable (scalar|avx2) forces a tier. Forcing an unavailable
 // tier warns once on stderr and falls back to the probe result —
 // serving must not crash over an env typo.
 const KernelTable& Active();

@@ -31,7 +31,7 @@
 namespace isrec::testing {
 
 // Sizes that exercise vector-width boundaries and scalar tails for both
-// 8-wide (AVX2) and 4-wide (NEON) kernels.
+// 8-wide (AVX2) kernels and their 4-wide inner steps.
 inline const std::vector<Index>& AwkwardSizes() {
   static const std::vector<Index> sizes = {1, 2, 3, 5, 7, 8, 9,
                                            15, 16, 17, 31, 33, 64, 65};
@@ -67,9 +67,6 @@ inline std::vector<kernels::Isa> SimdIsas() {
   std::vector<kernels::Isa> isas;
   if (kernels::Table(kernels::Isa::kAvx2) != nullptr) {
     isas.push_back(kernels::Isa::kAvx2);
-  }
-  if (kernels::Table(kernels::Isa::kNeon) != nullptr) {
-    isas.push_back(kernels::Isa::kNeon);
   }
   return isas;
 }

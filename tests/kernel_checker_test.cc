@@ -334,9 +334,9 @@ TEST(KernelCheckerTest, UnknownEnvOverrideFallsBackGracefully) {
   // SetActiveForTesting on an unavailable tier must refuse and leave
   // the active table untouched.
   const Isa active = kernels::ActiveIsa();
-  const bool neon_available = kernels::Table(Isa::kNeon) != nullptr;
-  if (!neon_available) {
-    EXPECT_FALSE(kernels::SetActiveForTesting(Isa::kNeon));
+  const bool avx2_available = kernels::Table(Isa::kAvx2) != nullptr;
+  if (!avx2_available) {
+    EXPECT_FALSE(kernels::SetActiveForTesting(Isa::kAvx2));
     EXPECT_EQ(kernels::ActiveIsa(), active);
   }
   EXPECT_TRUE(kernels::SetActiveForTesting(Isa::kScalar));

@@ -591,6 +591,71 @@ TEST(RouterPolicyTest, AdminDrainEndpointsValidateInput) {
   b.Stop();
 }
 
+TEST(RouterPolicyTest, DecisionsEqualRegistrySeriesWithMetricsOff) {
+  // Each decision is counted once, into the router's own value and the
+  // router.<field> series together, so the two agree with metrics off.
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::EnableMetrics(false);
+  obs::ResetAllMetrics();
+  FakeReplica a, b;
+  ASSERT_TRUE(a.Start());
+  ASSERT_TRUE(b.Start());
+  a.set_load(0, /*shedding=*/true);  // r1 DEGRADED: its users spill.
+  router::Router router(TwoFakeConfig(a, b));
+  ASSERT_TRUE(router.Start());
+  router.prober().ProbeAllOnce();
+
+  for (Index user = 0; user < 20; ++user) {
+    EXPECT_EQ(router.HandleRecommend(PostRecommend(user)).status, 200);
+  }
+  obs::HttpRequest bad = PostRecommend(0);
+  bad.body = "{\"no_user\": true}";
+  EXPECT_EQ(router.HandleRecommend(bad).status, 400);
+  obs::HttpRequest drain;
+  drain.method = "GET";
+  drain.path = "/admin/drain";
+  drain.query["replica"] = "r1";
+  EXPECT_EQ(router.HandleDrain(drain).status, 200);
+  for (Index user = 0; user < 20; ++user) {
+    EXPECT_EQ(router.HandleRecommend(PostRecommend(user)).status, 200);
+  }
+
+  const router::RouterDecisions d = router.decisions();
+  EXPECT_EQ(d.requests, 40u);
+  EXPECT_EQ(d.forwarded, 40u);
+  EXPECT_GT(d.spilled, 0u);
+  EXPECT_GT(d.drain_rerouted, 0u);
+  EXPECT_EQ(d.bad_requests, 1u);
+  EXPECT_EQ(d.drains, 1u);
+  std::map<std::string, uint64_t> series;
+  for (const auto& [name, value] : obs::SnapshotMetrics().counters) {
+    series[name] = value;
+  }
+  const std::pair<const char*, uint64_t> fields[] = {
+      {"router.requests", d.requests},
+      {"router.bad_requests", d.bad_requests},
+      {"router.forwarded", d.forwarded},
+      {"router.spilled", d.spilled},
+      {"router.drain_rerouted", d.drain_rerouted},
+      {"router.down_rerouted", d.down_rerouted},
+      {"router.retried", d.retried},
+      {"router.transport_errors", d.transport_errors},
+      {"router.rejected", d.rejected},
+      {"router.expired", d.expired},
+      {"router.drains", d.drains},
+  };
+  for (const auto& [name, value] : fields) {
+    ASSERT_EQ(series.count(name), 1u) << name;
+    EXPECT_EQ(series[name], value) << name;
+  }
+
+  router.Stop();
+  a.Stop();
+  b.Stop();
+  obs::EnableMetrics(metrics_were_enabled);
+  obs::ResetAllMetrics();
+}
+
 // -- End-to-end: router over two real serving engines ---------------------
 
 // Deterministic scoring stand-in (same shape as serve_test's FakeModel):

@@ -838,6 +838,48 @@ TEST(EngineOutcomeTest, ObsOutcomeCountersMatchServeStats) {
   obs::EnableMetrics(false);
 }
 
+// Looks a counter up in a registry snapshot, the way /metrics sees it.
+uint64_t SnapshotCounter(const std::string& name) {
+  for (const auto& [counter, value] : obs::SnapshotMetrics().counters) {
+    if (counter == name) return value;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+TEST(EngineOutcomeTest, RegistrySumsEnginesWithMetricsOff) {
+  // Each count has one owner: ServeStats is per engine, and the registry
+  // series of the same name sums every engine in the process — with
+  // metrics off, and after one of the engines is gone.
+  obs::EnableMetrics(false);
+  obs::ResetAllMetrics();
+  FakeModel model;
+  auto first = std::make_unique<ServingEngine>(
+      ServableModel::Wrap(model, /*num_items=*/100), SingleWorkerConfig());
+  ServingEngine second(ServableModel::Wrap(model, /*num_items=*/100),
+                       SingleWorkerConfig());
+  for (Index user = 0; user < 3; ++user) {
+    ASSERT_TRUE(first->Recommend({user, {1}, 5, {}, {}}).ok());
+  }
+  for (Index user = 0; user < 5; ++user) {
+    ASSERT_TRUE(second.Recommend({user, {2}, 5, {}, {}}).ok());
+  }
+
+  const ServeStats first_stats = first->Stats();
+  const ServeStats second_stats = second.Stats();
+  EXPECT_EQ(first_stats.num_requests, 3u);
+  EXPECT_EQ(first_stats.ok, 3u);
+  EXPECT_EQ(second_stats.num_requests, 5u);
+  EXPECT_EQ(second_stats.ok, 5u);
+  EXPECT_EQ(SnapshotCounter("serve.requests"), 8u);
+  EXPECT_EQ(SnapshotCounter("serve.ok"), 8u);
+
+  first.reset();
+  EXPECT_EQ(SnapshotCounter("serve.requests"), 8u);
+  EXPECT_EQ(SnapshotCounter("serve.ok"), 8u);
+  EXPECT_EQ(second.Stats().num_requests, 5u);
+}
+
 // -- Model lifecycle: hot swap, version pinning, cache isolation --------
 //
 // Every published generation gets a distinct score offset, so a
